@@ -168,6 +168,13 @@ TEST(Federation, DeterministicAcrossRunsAndSeedSensitive) {
   EXPECT_NE(run_federation(other).plant_fingerprint, a.plant_fingerprint);
 }
 
+TEST(Federation, DefaultSpecMatchesTheGoldenFingerprint) {
+  // Recorded value of the default federation: pins what run-vs-run
+  // determinism checks cannot.
+  EXPECT_EQ(run_federation(FederationSpec{}).plant_fingerprint,
+            0x7ab66cb3ca2cac46ULL);
+}
+
 TEST(Federation, ReportRendersTiersAndConservation) {
   const auto r = run_federation(small_spec());
   const auto table = federation_table(r);

@@ -333,6 +333,13 @@ TEST(FlowmonE2e, GoldenMeasuredMixIdenticalForIdenticalSeeds) {
   EXPECT_NE(run_measured_mix(other).fingerprint, a.fingerprint);
 }
 
+TEST(FlowmonE2e, GoldenMeasuredMixMatchesTheRecordedFingerprint) {
+  // Recorded value of the default measured mix: pins what the run-vs-run
+  // check above cannot.
+  EXPECT_EQ(run_measured_mix(MeasuredMixSpec{}).fingerprint,
+            0x2c5409eda6330389ULL);
+}
+
 TEST(FlowmonE2e, MeasuredTaxonomyMatchesOfferedWorkload) {
   MeasuredMixSpec spec;
   const auto result = run_measured_mix(spec);

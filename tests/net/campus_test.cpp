@@ -188,6 +188,21 @@ TEST(Campus, MeasuredPartitionerWithoutWeightsIsTyped) {
   }
 }
 
+TEST(Campus, TableCampusMatchesTheGoldenFingerprint) {
+  // The tab_campus table run (48 cells x 8 devices, 150 ms, faults on,
+  // seed 1): the other campus tests compare run against run, so a change
+  // that moves every run alike only shows against this recorded value
+  // (also quoted in EXPERIMENTS.md).
+  CampusOptions opt;
+  opt.cells = 48;
+  opt.devices_per_cell = 8;
+  opt.cycle = sim::milliseconds(4);
+  opt.horizon = sim::milliseconds(150);
+  opt.seed = 1;
+  opt.faults = true;
+  EXPECT_EQ(run_campus(opt).fingerprint(), 0x522f8f18a43c9a70ULL);
+}
+
 TEST(Campus, SingleCellCampusIsDegenerateButValid) {
   CampusOptions opt = small_campus(4);
   opt.cells = 1;  // no backbone, no reports -- just one PROFINET island

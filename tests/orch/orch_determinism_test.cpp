@@ -28,6 +28,13 @@ TEST(OrchDeterminism, SameSeedIsByteIdentical) {
   EXPECT_NE(a.metrics_fp, 0u);
 }
 
+TEST(OrchDeterminism, SmallConfigMatchesTheGoldenFingerprint) {
+  // Run-vs-run checks cannot see a drift that moves both runs alike;
+  // this recorded value can.
+  EXPECT_EQ(OrchRunner::run(small_orch_config(1)).fingerprint(),
+            0x1c1d6f8cbe254fcaULL);
+}
+
 TEST(OrchDeterminism, PrometheusExportCarriesFleetCounters) {
   OrchConfig cfg = stormy(5);
   cfg.keep_exports = true;
