@@ -19,13 +19,11 @@
 //                    simulation (tab_campus); orthogonal to --jobs
 //   --skew           where supported: skewed-load workload variant (e.g.
 //                    tab_campus hot-zone storms)
-//   --partitioner <prefix|measured>
-//                    where supported: cell->shard placement strategy
 //   --profile-out <file>
 //                    write the run's measured cell-rate profile
 //   --profile-in <file>
-//                    read a cell-rate profile; implies the measured
-//                    partitioner unless --partitioner prefix is explicit
+//                    read a cell-rate profile and place cells by LPT over
+//                    it (without it: prefix-quota over declared weights)
 // plus --help. Binaries without an obs wiring still accept --trace and
 // --metrics but warn on stderr that nothing will be produced.
 #pragma once
@@ -62,21 +60,11 @@ struct BenchArgs {
   std::size_t shards = 0;
   /// --skew: where supported, the skewed-load workload variant.
   bool skew = false;
-  /// --partitioner <prefix|measured>: placement strategy override;
-  /// unset means "binary default" (prefix, or measured when a profile
-  /// was supplied via --profile-in).
-  std::optional<std::string> partitioner;
   /// --profile-out <file>: write the measured cell-rate profile.
   std::optional<std::string> profile_out_path;
-  /// --profile-in <file>: read a calibration cell-rate profile.
+  /// --profile-in <file>: read a calibration cell-rate profile; its
+  /// presence selects measured (LPT) placement.
   std::optional<std::string> profile_in_path;
-
-  /// True when the run should use the measured-rate partitioner: asked
-  /// for explicitly, or implied by a supplied calibration profile.
-  [[nodiscard]] bool wants_measured_partition() const {
-    if (partitioner.has_value()) return *partitioner == "measured";
-    return profile_in_path.has_value();
-  }
 
   /// Parses argv; exits on --help (0) and on malformed/unknown flags (2).
   static BenchArgs parse(int argc, char** argv,
@@ -125,14 +113,6 @@ struct BenchArgs {
         ++i;
       } else if (a == "--skew") {
         args.skew = true;
-      } else if (a == "--partitioner") {
-        args.partitioner = need_value(i, a);
-        ++i;
-        if (*args.partitioner != "prefix" && *args.partitioner != "measured") {
-          std::cerr << prog << ": --partitioner must be 'prefix' or "
-                    << "'measured', got '" << *args.partitioner << "'\n";
-          std::exit(2);
-        }
       } else if (a == "--profile-out") {
         args.profile_out_path = need_value(i, a);
         ++i;
@@ -145,7 +125,6 @@ struct BenchArgs {
                      " [--metrics <file>] [--sweep <n>] [--jobs <n>]"
                      " [--scale <n>] [--bench-json <file>]"
                      " [--shards <n>] [--skew]"
-                     " [--partitioner <prefix|measured>]"
                      " [--profile-out <file>] [--profile-in <file>]\n";
         std::exit(0);
       } else {

@@ -30,10 +30,10 @@
 //   --skew            hot-zone variant: the first quarter of the cells
 //                     runs 4x cyclic rate + fault storms (the workload
 //                     the measured-rate partitioner exists for)
-//   --partitioner <prefix|measured>  placement strategy of the run
 //   --profile-out <f> write the (first) run's measured cell-rate profile
-//   --profile-in <f>  feed a calibration profile back; implies the
-//                     measured partitioner unless --partitioner prefix
+//   --profile-in <f>  feed a calibration profile back and place cells by
+//                     LPT over it (default: prefix-quota over declared
+//                     weights)
 #include <cinttypes>
 #include <cstdio>
 #include <fstream>
@@ -137,7 +137,7 @@ std::string json_array(const V& v) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace steelnet;
 
   const auto args = bench::BenchArgs::parse(argc, argv, /*default_seed=*/1);
@@ -326,18 +326,18 @@ int main(int argc, char** argv) {
   const std::vector<std::size_t> shard_counts =
       args.shards != 0 ? std::vector<std::size_t>{args.shards}
                        : std::vector<std::size_t>{1, 8};
-  sim::RateProfile profile_in;
+  std::vector<std::uint64_t> measured;
   if (args.profile_in_path.has_value()) {
-    profile_in = load_profile(*args.profile_in_path);
+    measured = load_profile(*args.profile_in_path).weights();
   }
   std::vector<CampusResult> results;
   for (const std::size_t sh : shard_counts) {
     CampusOptions opt = table_options(args.seed);
     opt.shards = sh;
     opt.skew = args.skew;
-    if (args.wants_measured_partition()) {
+    if (!measured.empty()) {
       opt.partitioner = CampusPartitioner::kMeasuredRate;
-      opt.measured_weights = profile_in.weights();
+      opt.measured_weights = measured;
     }
     results.push_back(net::run_campus(opt));
     std::fprintf(stderr,
@@ -385,4 +385,8 @@ int main(int argc, char** argv) {
     if (!identical) return 1;
   }
   return 0;
+} catch (const steelnet::sim::PartitionError& e) {
+  // A malformed --profile-in, or one sized for another floor.
+  std::cerr << "tab_campus: " << e.what() << "\n";
+  return 2;
 }

@@ -23,8 +23,8 @@
 //   --profile-out <f> write the (first) run's measured cell-rate profile
 //   --profile-in <f>  feed a calibration profile back (the SNR ladder is
 //                     naturally skewed: dead rungs run far fewer events
-//                     than healthy ones); implies the measured-rate
-//                     partitioner unless --partitioner prefix
+//                     than healthy ones) and place cells by LPT over
+//                     it (default: prefix-quota over declared weights)
 #include <cinttypes>
 #include <cstdio>
 #include <fstream>
@@ -51,23 +51,25 @@ std::string hex16(std::uint64_t v) {
   return buf;
 }
 
-steelnet::sim::RateProfile g_profile_in;
-bool g_measured = false;
+/// Per-cell weights of the --profile-in calibration profile; empty
+/// without one (prefix-quota placement).
+std::vector<std::uint64_t> g_measured;
 
 RadioFloorOptions floor_options(std::uint64_t seed, std::size_t shards) {
   RadioFloorOptions opt;
   opt.seed = seed;
   opt.shards = shards;
-  if (g_measured) {
-    opt.measured_partition = true;
-    opt.measured_weights = g_profile_in.weights();
-  }
+  opt.measured_weights = g_measured;
   return opt;
+}
+
+const char* placement_name() {
+  return g_measured.empty() ? "prefix" : "measured";
 }
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace steelnet;
 
   const auto args = bench::BenchArgs::parse(argc, argv, /*default_seed=*/1);
@@ -80,9 +82,8 @@ int main(int argc, char** argv) {
     }
     std::ostringstream text;
     text << in.rdbuf();
-    g_profile_in = sim::RateProfile::parse(text.str());
+    g_measured = sim::RateProfile::parse(text.str()).weights();
   }
-  g_measured = args.wants_measured_partition();
 
   // --- SNR-ladder degradation curve -> BENCH_radio.json ---------------------
   if (args.bench_json_path.has_value()) {
@@ -101,7 +102,7 @@ int main(int argc, char** argv) {
         << ", \"horizon_ns\": " << r.horizon_ns
         << ", \"watchdog_bound_ns\": " << r.watchdog_bound_ns
         << ", \"cells\": " << r.cells.size() << ", \"partitioner\": \""
-        << (g_measured ? "measured" : "prefix")
+        << placement_name()
         << "\", \"imbalance_permille\": " << r.imbalance_permille
         << "},\n  \"points\": [\n";
     bool first = true;
@@ -194,7 +195,7 @@ int main(int argc, char** argv) {
     // Placement diagnostics go to stderr so the CSV byte stream on
     // stdout stays the CI-compared artifact.
     std::cerr << "tab_radio: shards=" << shard_counts[i]
-              << " partitioner=" << (g_measured ? "measured" : "prefix")
+              << " partitioner=" << placement_name()
               << " imbalance_permille=" << results[i].imbalance_permille
               << "\n";
   }
@@ -238,4 +239,8 @@ int main(int argc, char** argv) {
     if (!identical) return 1;
   }
   return 0;
+} catch (const steelnet::sim::PartitionError& e) {
+  // A malformed --profile-in, or one sized for another floor.
+  std::cerr << "tab_radio: " << e.what() << "\n";
+  return 2;
 }

@@ -19,12 +19,12 @@
 
 #include <cstdint>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "core/sweep_runner.hpp"
 #include "faults/fault_plane.hpp"
 #include "faults/scenario.hpp"
+#include "sim/hash.hpp"
 
 namespace steelnet::faults {
 
@@ -125,6 +125,6 @@ class ScenarioRunner {
 [[nodiscard]] FaultScenario random_scenario(std::uint64_t seed);
 
 /// FNV-1a 64 over arbitrary bytes (the export fingerprint primitive).
-[[nodiscard]] std::uint64_t fnv1a64(std::string_view bytes);
+using sim::fnv1a64;
 
 }  // namespace steelnet::faults

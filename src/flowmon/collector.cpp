@@ -4,6 +4,7 @@
 
 #include "net/network.hpp"
 #include "obs/hub.hpp"
+#include "sim/hash.hpp"
 
 namespace steelnet::flowmon {
 
@@ -215,26 +216,22 @@ std::vector<core::FlowStats> CollectorNode::measured_stats() const {
 }
 
 std::uint64_t CollectorNode::fingerprint() const {
-  std::uint64_t h = 0xcbf29ce484222325ULL;
-  const auto mix = [&h](std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) {
-      h ^= (v >> (8 * i)) & 0xff;
-      h *= 0x100000001b3ULL;
-    }
-  };
+  std::uint64_t h = sim::kFnv1a64Basis;
   for (const FlowView& v : flows()) {
-    mix(v.key.src.bits());
-    mix(v.key.dst.bits());
-    mix((std::uint64_t(v.key.pcp) << 16) |
-        std::uint64_t(static_cast<std::uint16_t>(v.key.ethertype)));
-    mix(v.packets);
-    mix(v.bytes);
-    mix(v.wire_bytes);
-    mix(static_cast<std::uint64_t>(v.first_seen.nanos()));
-    mix(static_cast<std::uint64_t>(v.last_seen.nanos()));
-    mix(static_cast<std::uint64_t>(v.mean_iat.nanos()));
-    mix(static_cast<std::uint64_t>(v.jitter.nanos()));
-    mix((std::uint64_t(v.open_ended) << 1) | std::uint64_t(v.periodic));
+    sim::fnv1a64_mix(h, v.key.src.bits());
+    sim::fnv1a64_mix(h, v.key.dst.bits());
+    sim::fnv1a64_mix(
+        h, (std::uint64_t(v.key.pcp) << 16) |
+               std::uint64_t(static_cast<std::uint16_t>(v.key.ethertype)));
+    sim::fnv1a64_mix(h, v.packets);
+    sim::fnv1a64_mix(h, v.bytes);
+    sim::fnv1a64_mix(h, v.wire_bytes);
+    sim::fnv1a64_mix(h, static_cast<std::uint64_t>(v.first_seen.nanos()));
+    sim::fnv1a64_mix(h, static_cast<std::uint64_t>(v.last_seen.nanos()));
+    sim::fnv1a64_mix(h, static_cast<std::uint64_t>(v.mean_iat.nanos()));
+    sim::fnv1a64_mix(h, static_cast<std::uint64_t>(v.jitter.nanos()));
+    sim::fnv1a64_mix(h, (std::uint64_t(v.open_ended) << 1) |
+                            std::uint64_t(v.periodic));
   }
   return h;
 }

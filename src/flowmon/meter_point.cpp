@@ -14,7 +14,6 @@ FlowCacheConfig cache_config(const MeterConfig& cfg) {
   c.capacity = cfg.cache_capacity;
   c.idle_timeout = cfg.idle_timeout;
   c.active_timeout = cfg.active_timeout;
-  c.engine = cfg.expiry_engine;
   c.wheel_tick = std::min(cfg.wheel_tick, cfg.export_interval);
   return c;
 }

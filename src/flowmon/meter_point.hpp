@@ -47,9 +47,6 @@ struct MeterConfig {
   /// Meter the telemetry itself? Off by default so export traffic does
   /// not show up in the measured mix.
   bool meter_exports = false;
-  /// Expiry engine for the cache (wheel by default; scan is the legacy
-  /// full-table walk kept for A/B benchmarking).
-  ExpiryEngine expiry_engine = ExpiryEngine::kWheel;
   /// Wheel granularity; clamped to export_interval so the byte-identical
   /// wheel-vs-scan guarantee holds (see FlowCache).
   sim::SimTime wheel_tick = sim::milliseconds(100);

@@ -8,12 +8,12 @@
 
 #include "faults/fault_plane.hpp"
 #include "faults/scenario.hpp"
-#include "faults/scenario_runner.hpp"
 #include "net/network.hpp"
 #include "net/topology.hpp"
 #include "obs/metrics.hpp"
 #include "profinet/controller.hpp"
 #include "profinet/io_device.hpp"
+#include "sim/hash.hpp"
 #include "sim/random.hpp"
 
 namespace steelnet::net {
@@ -200,7 +200,6 @@ CampusResult run_campus(const CampusOptions& opt) {
   }
   const std::size_t hot_cells = opt.skew ? std::max<std::size_t>(1, opt.cells / 4) : 0;
 
-  static const sim::LptPartitioner kMeasuredStrategy;
   if (opt.partitioner == CampusPartitioner::kMeasuredRate) {
     if (opt.measured_weights.empty()) {
       throw sim::PartitionError(
@@ -208,7 +207,6 @@ CampusResult run_campus(const CampusOptions& opt) {
           "run_campus: measured-rate partitioner needs measured_weights "
           "(run a calibration pass and feed its profile back)");
     }
-    ss.set_partitioner(&kMeasuredStrategy);
     ss.set_measured_weights(opt.measured_weights);
   }
 
@@ -432,9 +430,9 @@ std::string CampusResult::to_csv() const {
 }
 
 std::uint64_t CampusResult::fingerprint() const {
-  std::uint64_t h = faults::fnv1a64(to_csv());
-  h ^= faults::fnv1a64(to_prometheus()) * 0x100000001b3ULL;
-  h ^= faults::fnv1a64(to_chrome_trace()) * 0x100000001b3ULL;
+  std::uint64_t h = sim::fnv1a64(to_csv());
+  h ^= sim::fnv1a64(to_prometheus()) * sim::kFnv1a64Prime;
+  h ^= sim::fnv1a64(to_chrome_trace()) * sim::kFnv1a64Prime;
   return h;
 }
 

@@ -10,6 +10,7 @@
 #include "faults/scenario_runner.hpp"
 #include "net/radio_backend.hpp"
 #include "obs/metrics.hpp"
+#include "sim/hash.hpp"
 #include "sim/random.hpp"
 
 namespace steelnet::net {
@@ -148,16 +149,7 @@ RadioFloorResult run_radio_floor(const RadioFloorOptions& opt) {
   result.watchdog_bound_ns = faults::switchover_bound(bound_opts).nanos();
   result.io_cycle_ns = opt.io_cycle.nanos();
 
-  static const sim::LptPartitioner kMeasuredStrategy;
-  if (opt.measured_partition) {
-    if (opt.measured_weights.empty()) {
-      throw sim::PartitionError(
-          sim::PartitionErrorCode::kProfileMismatch,
-          "run_radio_floor: measured partition needs measured_weights");
-    }
-    ss.set_partitioner(&kMeasuredStrategy);
-    ss.set_measured_weights(opt.measured_weights);
-  }
+  ss.set_measured_weights(opt.measured_weights);
   result.stats = ss.run(opt.horizon, opt.shards);
 
   // Placement diagnostics, judged by the rates this run measured.
@@ -343,9 +335,9 @@ std::string RadioFloorResult::to_csv() const {
 }
 
 std::uint64_t RadioFloorResult::fingerprint() const {
-  std::uint64_t h = faults::fnv1a64(to_csv());
-  h ^= faults::fnv1a64(to_prometheus()) * 0x100000001b3ULL;
-  h ^= faults::fnv1a64(to_chrome_trace()) * 0x100000001b3ULL;
+  std::uint64_t h = sim::fnv1a64(to_csv());
+  h ^= sim::fnv1a64(to_prometheus()) * sim::kFnv1a64Prime;
+  h ^= sim::fnv1a64(to_chrome_trace()) * sim::kFnv1a64Prime;
   return h;
 }
 

@@ -38,12 +38,12 @@ struct RadioFloorOptions {
   /// Silent I/O cycles before the in-network monitor switches over.
   std::uint16_t switchover_cycles = 3;
   sim::SimTime io_cycle = sim::milliseconds(2);
-  /// Placement strategy (same semantics as CampusOptions): prefix-quota
-  /// over uniform declared weights, or LPT over `measured_weights`. The
-  /// SNR ladder is naturally skewed -- dead rungs execute far fewer
-  /// events than healthy ones -- so a calibration profile has real
-  /// signal here. Artifacts are byte-identical under either choice.
-  bool measured_partition = false;
+  /// Measured per-cell rates (one per cell, e.g. RateProfile::weights()
+  /// of a calibration run). Non-empty selects LPT placement over them,
+  /// empty the prefix-quota walk over uniform declared weights. The SNR
+  /// ladder is naturally skewed -- dead rungs execute far fewer events
+  /// than healthy ones -- so a calibration profile has real signal here.
+  /// Artifacts are byte-identical under either placement.
   std::vector<std::uint64_t> measured_weights;
 };
 

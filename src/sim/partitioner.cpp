@@ -23,7 +23,7 @@ std::size_t checked_shards(const std::vector<std::uint64_t>& weights,
                            std::size_t shards) {
   if (shards == 0) {
     throw PartitionError(PartitionErrorCode::kBadShardCount,
-                         "Partitioner::assign: shards must be >= 1");
+                         "assign: shards must be >= 1");
   }
   return std::min(shards, weights.size());
 }

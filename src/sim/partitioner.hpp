@@ -1,19 +1,27 @@
 // Cell -> shard placement strategies for the sharded PDES kernel.
 //
-// A Partitioner maps per-cell weights to shard ids. Placement decides
+// Both strategies map per-cell weights to shard ids. Placement decides
 // wall-clock only, never simulation results: the kernel's determinism
 // contract (per-cell fire order a pure function of initial state + own
 // RNG + totally ordered inbound messages) holds for *any* assignment,
-// so strategies are free to chase balance. Two strategies ship:
+// so strategies are free to chase balance. ShardedSimulator::run picks
+// one of the two:
 //
-//   * PrefixQuotaPartitioner -- the static contiguous walk the kernel
-//     has always used; cheap, cache-friendly groups, assumes declared
+//   * PrefixQuotaPartitioner over the declared cell weights -- the static
+//     contiguous walk; cheap, cache-friendly groups, assumes declared
 //     weights are honest.
-//   * LptPartitioner -- longest-processing-time greedy bin-pack over
+//   * LptPartitioner over measured weights, when set_measured_weights
+//     supplied them -- longest-processing-time greedy bin-pack over
 //     *measured* per-cell rates (see RateProfile); the profile-guided
 //     strategy for skewed floors. Tie-break rule: an all-equal profile
 //     reproduces the prefix-quota assignment exactly, so calibration
 //     noise-free uniform floors cannot churn placements.
+//
+// Shared contract of both assign() calls: one shard id per weight, every
+// shard id in [0, min(shards, weights.size())) used at least once;
+// PartitionError{kBadShardCount} when shards == 0; an empty weight
+// vector yields an empty assignment; shards above the cell count clamp
+// (trailing shards would be empty otherwise).
 //
 // Everything here is deterministic: same inputs, same assignment, on
 // every platform. Randomness, clocks, and iteration-order dependence
@@ -21,7 +29,6 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -48,30 +55,14 @@ class PartitionError : public SimError {
   PartitionErrorCode code_;
 };
 
-/// Strategy interface. assign() returns one shard id per weight, with
-/// every shard id in [0, min(shards, weights.size())) used at least
-/// once. Implementations must be deterministic and side-effect free.
-class Partitioner {
- public:
-  virtual ~Partitioner() = default;
-  [[nodiscard]] virtual const char* name() const = 0;
-  /// Throws PartitionError{kBadShardCount} when shards == 0. An empty
-  /// weight vector yields an empty assignment. shards above the cell
-  /// count clamps (trailing shards would be empty otherwise).
-  [[nodiscard]] virtual std::vector<std::uint32_t> assign(
-      const std::vector<std::uint64_t>& weights, std::size_t shards) const = 0;
-};
-
 /// Contiguous weighted walk: cell i joins shard s until the weight
 /// prefix crosses quota (s+1)/shards of the total, with a must-advance
 /// guard that keeps every later shard nonempty. Groups are contiguous
 /// cell ranges -- friendly to topologies wired by index locality.
-class PrefixQuotaPartitioner final : public Partitioner {
+class PrefixQuotaPartitioner {
  public:
-  [[nodiscard]] const char* name() const override { return "prefix"; }
   [[nodiscard]] std::vector<std::uint32_t> assign(
-      const std::vector<std::uint64_t>& weights,
-      std::size_t shards) const override;
+      const std::vector<std::uint64_t>& weights, std::size_t shards) const;
 };
 
 /// Greedy LPT bin-pack over measured rates: cells sorted by (weight
@@ -80,12 +71,10 @@ class PrefixQuotaPartitioner final : public Partitioner {
 /// as occupancy. When every weight is equal the measured profile says
 /// nothing prefix-quota doesn't already know, so LPT delegates to it
 /// verbatim -- the regression pin that keeps uniform floors stable.
-class LptPartitioner final : public Partitioner {
+class LptPartitioner {
  public:
-  [[nodiscard]] const char* name() const override { return "measured"; }
   [[nodiscard]] std::vector<std::uint32_t> assign(
-      const std::vector<std::uint64_t>& weights,
-      std::size_t shards) const override;
+      const std::vector<std::uint64_t>& weights, std::size_t shards) const;
 };
 
 /// Post-hoc balance report for an assignment under (possibly different)
@@ -107,9 +96,9 @@ struct PartitionStats {
     const std::vector<std::uint64_t>& weights,
     const std::vector<std::uint32_t>& assignment);
 
-/// Validates an assignment against the Partitioner contract (size,
-/// range, no empty shard) -- the kernel runs this on whatever strategy
-/// the caller plugged in before trusting it with worker threads.
+/// Validates an assignment against the shared assign() contract (size,
+/// range, no empty shard) -- the kernel runs this before trusting an
+/// assignment with worker threads.
 void validate_assignment(const std::vector<std::uint32_t>& assignment,
                          std::size_t n_cells, std::size_t shards);
 

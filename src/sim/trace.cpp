@@ -4,6 +4,8 @@
 #include <sstream>
 #include <utility>
 
+#include "sim/hash.hpp"
+
 namespace steelnet::sim {
 
 void Trace::emit(SimTime time, std::string key, std::string value) {
@@ -30,14 +32,6 @@ void Trace::write_csv(std::ostream& os) const {
   }
 }
 
-std::uint64_t Trace::fingerprint() const {
-  const std::string csv = to_csv();
-  std::uint64_t h = 0xcbf29ce484222325ULL;
-  for (char c : csv) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 0x100000001b3ULL;
-  }
-  return h;
-}
+std::uint64_t Trace::fingerprint() const { return fnv1a64(to_csv()); }
 
 }  // namespace steelnet::sim

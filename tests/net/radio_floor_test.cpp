@@ -80,7 +80,6 @@ TEST(RadioFloor, MeasuredPartitionKeepsArtifactsByteIdentical) {
 
   RadioFloorOptions opt = calib;
   opt.shards = 8;
-  opt.measured_partition = true;
   opt.measured_weights = golden.profile.weights();
   const RadioFloorResult measured = run_radio_floor(opt);
   EXPECT_EQ(measured.cells, golden.cells);
@@ -97,18 +96,6 @@ TEST(RadioFloor, MeasuredPartitionKeepsArtifactsByteIdentical) {
   EXPECT_EQ(prefix.fingerprint(), golden.fingerprint());
   EXPECT_NE(measured.partition, prefix.partition);
   EXPECT_LE(measured.imbalance_permille, prefix.imbalance_permille);
-}
-
-TEST(RadioFloor, MeasuredPartitionWithoutWeightsIsTyped) {
-  RadioFloorOptions opt;
-  opt.horizon = sim::milliseconds(100);
-  opt.measured_partition = true;
-  try {
-    (void)run_radio_floor(opt);
-    FAIL() << "expected PartitionError";
-  } catch (const sim::PartitionError& e) {
-    EXPECT_EQ(e.code(), sim::PartitionErrorCode::kProfileMismatch);
-  }
 }
 
 TEST(RadioFloor, SeedSelectsTheFloor) {

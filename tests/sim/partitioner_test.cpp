@@ -1,4 +1,4 @@
-// The Partitioner contract: both strategies are deterministic, use every
+// The placement contract: both strategies are deterministic, use every
 // shard, clamp to the cell count, and fail with typed errors -- and the
 // LPT tie-break rule (all-equal weights delegate to prefix-quota) pins
 // uniform floors to their historical placement. RateProfile's text
@@ -12,7 +12,6 @@
 #include <vector>
 
 #include "sim/random.hpp"
-#include "sim/sharded_simulator.hpp"
 
 namespace steelnet::sim {
 namespace {
@@ -25,18 +24,6 @@ std::uint64_t load_of(const std::vector<std::uint64_t>& w,
     if (map[i] == shard) sum += w[i];
   }
   return sum;
-}
-
-TEST(PrefixQuota, MatchesTheKernelsStaticPartition) {
-  // ShardedSimulator::partition() now delegates here; pin the other
-  // direction too, so neither can drift from the historical walk.
-  const std::vector<std::uint64_t> weights{100, 1, 1, 1, 7, 7, 3, 9};
-  const PrefixQuotaPartitioner prefix;
-  for (std::size_t shards = 1; shards <= weights.size(); ++shards) {
-    EXPECT_EQ(prefix.assign(weights, shards),
-              ShardedSimulator::partition(weights, shards))
-        << "shards=" << shards;
-  }
 }
 
 TEST(PrefixQuota, GroupsAreContiguousAndEveryShardNonempty) {
@@ -105,27 +92,28 @@ TEST(Lpt, GreedyPackingBalancesTheClassicExample) {
   EXPECT_LE(std::max(s0, s1), 14u);
 }
 
-TEST(Partitioners, SharedContractEdgeCases) {
-  const PrefixQuotaPartitioner prefix;
-  const LptPartitioner lpt;
-  for (const Partitioner* p :
-       {static_cast<const Partitioner*>(&prefix),
-        static_cast<const Partitioner*>(&lpt)}) {
-    // shards == 0 is a typed error.
-    try {
-      (void)p->assign({1, 2, 3}, 0);
-      FAIL() << p->name() << ": expected PartitionError";
-    } catch (const PartitionError& e) {
-      EXPECT_EQ(e.code(), PartitionErrorCode::kBadShardCount);
-    }
-    // Empty weights yield an empty assignment.
-    EXPECT_TRUE(p->assign({}, 4).empty());
-    // Shards clamp to the cell count: 2 cells over 8 shards use {0, 1}.
-    const auto clamped = p->assign({3, 3}, 8);
-    ASSERT_EQ(clamped.size(), 2u);
-    EXPECT_NO_THROW(validate_assignment(clamped, 2, 8));
-    for (const std::uint32_t s : clamped) EXPECT_LT(s, 2u);
+template <typename Strategy>
+void expect_shared_contract(const char* name) {
+  const Strategy p;
+  // shards == 0 is a typed error.
+  try {
+    (void)p.assign({1, 2, 3}, 0);
+    FAIL() << name << ": expected PartitionError";
+  } catch (const PartitionError& e) {
+    EXPECT_EQ(e.code(), PartitionErrorCode::kBadShardCount) << name;
   }
+  // Empty weights yield an empty assignment.
+  EXPECT_TRUE(p.assign({}, 4).empty()) << name;
+  // Shards clamp to the cell count: 2 cells over 8 shards use {0, 1}.
+  const auto clamped = p.assign({3, 3}, 8);
+  ASSERT_EQ(clamped.size(), 2u) << name;
+  EXPECT_NO_THROW(validate_assignment(clamped, 2, 8)) << name;
+  for (const std::uint32_t s : clamped) EXPECT_LT(s, 2u) << name;
+}
+
+TEST(Partitioners, SharedContractEdgeCases) {
+  expect_shared_contract<PrefixQuotaPartitioner>("prefix");
+  expect_shared_contract<LptPartitioner>("lpt");
 }
 
 TEST(PartitionStats, HandComputedImbalance) {

@@ -25,12 +25,12 @@ namespace {
 
 using namespace steelnet::sim::literals;
 
-// --- partition --------------------------------------------------------------
+// --- partition (the kernel's default prefix-quota placement) ----------------
 
 TEST(Partition, ContiguousNonemptyBalanced) {
   const std::vector<std::uint64_t> weights = {3, 1, 4, 1, 5, 9, 2, 6};
   for (std::size_t shards = 1; shards <= weights.size(); ++shards) {
-    const auto assign = ShardedSimulator::partition(weights, shards);
+    const auto assign = PrefixQuotaPartitioner{}.assign(weights, shards);
     ASSERT_EQ(assign.size(), weights.size());
     // Contiguous and monotone: group ids never decrease, never skip.
     EXPECT_EQ(assign.front(), 0u);
@@ -45,22 +45,13 @@ TEST(Partition, ContiguousNonemptyBalanced) {
 
 TEST(Partition, FrontLoadedWeightsStillFillEveryShard) {
   // A pathological prefix (one huge cell) must not starve later shards.
-  const auto assign = ShardedSimulator::partition({100, 1, 1, 1}, 4);
+  const auto assign = PrefixQuotaPartitioner{}.assign({100, 1, 1, 1}, 4);
   EXPECT_EQ(assign, (std::vector<std::uint32_t>{0, 1, 2, 3}));
 }
 
 TEST(Partition, ShardsClampedToCellCount) {
-  const auto assign = ShardedSimulator::partition({1, 1}, 16);
+  const auto assign = PrefixQuotaPartitioner{}.assign({1, 1}, 16);
   EXPECT_EQ(assign, (std::vector<std::uint32_t>{0, 1}));
-}
-
-TEST(Partition, ZeroShardsThrowsTyped) {
-  try {
-    (void)ShardedSimulator::partition({1}, 0);
-    FAIL() << "expected ShardingError";
-  } catch (const ShardingError& e) {
-    EXPECT_EQ(e.code(), ShardingErrorCode::kBadShardCount);
-  }
 }
 
 // --- typed errors -----------------------------------------------------------
@@ -469,7 +460,7 @@ TEST(ShardedSimulator, LookaheadReportsMinInboundLatency) {
   EXPECT_EQ(ss.cell(0).latency_to(2), 30_us);
 }
 
-// --- pluggable placement ----------------------------------------------------
+// --- measured placement -----------------------------------------------------
 
 TEST(ShardedPlacement, MeasuredLptKeepsFireLogsIdenticalToReference) {
   // The core claim of the balancing work: placement decides wall-clock
@@ -487,11 +478,9 @@ TEST(ShardedPlacement, MeasuredLptKeepsFireLogsIdenticalToReference) {
     for (auto& w : measured) {
       w = static_cast<std::uint64_t>(rng.uniform_int(1, 100'000));
     }
-    const LptPartitioner lpt;
     for (const std::size_t shards : {1, 2, 4, 8}) {
       BounceWorld w;
       build_bounce_world(w, seed, cells);
-      w.ss.set_partitioner(&lpt);
       w.ss.set_measured_weights(measured);
       const BounceOutcome got = harvest(w, w.ss.run(2_ms, shards));
       EXPECT_TRUE(got == want)
@@ -512,8 +501,6 @@ TEST(ShardedPlacement, EqualMeasuredWeightsReproducePrefixPartition) {
   const std::vector<std::uint64_t> flat(kCells, 5);
   BounceWorld a;
   build_bounce_world(a, 3, kCells);
-  const LptPartitioner lpt;
-  a.ss.set_partitioner(&lpt);
   a.ss.set_measured_weights(flat);
   (void)a.ss.run(1_ms, 4);
   EXPECT_EQ(a.ss.partition_map(),
